@@ -10,7 +10,7 @@ race: ## tier-1 plus the race detector on the concurrent packages
 	$(GO) test -race ./internal/engine/ ./internal/transport/ ./internal/core/ ./internal/message/ ./internal/journal/
 
 .PHONY: bench
-bench: ## full E1-E7 experiment harness (compare against BENCH_baseline.json)
+bench: ## every experiment, E1-E12 (the BENCH_*.json files record the series)
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 .PHONY: bench-e3
@@ -30,22 +30,24 @@ bench-crossround: ## cross-round batching sweep (compare against BENCH_crossroun
 bench-concurrency:
 	$(GO) test -bench=BenchmarkE8ConcurrentInstances -benchtime=300x -run '^$$' .
 
-# Short fixed-iteration run of the E9 chaos sweep (loss x provider-death
-# x overload, churn layer off vs on, completion rate + p95). CI runs
-# this as a smoke job; BENCH_availability.json records the full series.
+# Short fixed-iteration run of the E9 availability sweep: P2P vs central
+# completion under 0/1/3/8% message loss, then the chaos sweep (loss x
+# provider-death x overload, churn layer off vs on, completion rate +
+# p95). CI runs this as a smoke job; BENCH_availability.json records the
+# full series.
 .PHONY: bench-availability
 bench-availability:
 	$(GO) test -bench=BenchmarkE9Availability -benchtime=50x -run '^$$' .
 
-# Short run of the E10 scale-out sweep: spawns real hostd processes at
-# 1/2/4 replicas per service state and measures execs/sec. The run
-# itself asserts the routing-never-RPCs invariant — it FAILS if the
-# wrapper exchanges anything but exactly 2 messages per execution at
-# any replica count. CI smoke; BENCH_scaleout.json records the full
-# series.
+# Short fixed-iteration run of the E10 scale-out sweep: builds hostd,
+# spawns real hostd processes at 1/2/4 replicas per service state and
+# measures execs/sec. The run itself asserts the routing-never-RPCs
+# invariant — it FAILS if the wrapper exchanges anything but exactly 1
+# message out and 1 in per execution at any replica count. CI smoke;
+# BENCH_scaleout.json records the full series.
 .PHONY: bench-scaleout
 bench-scaleout:
-	$(GO) run ./cmd/bench -exp e10 -n 10
+	$(GO) test -bench=BenchmarkE10ScaleOut -benchtime=40x -run '^$$' .
 
 # Short fixed-iteration run of the E12 durability sweep: Chain(8)
 # executions with and without a journal at every commit point, the
@@ -69,6 +71,13 @@ bench-durability:
 .PHONY: bench-redeploy
 bench-redeploy:
 	$(GO) test -bench=BenchmarkE11Redeploy -benchtime=300x -run '^$$' .
+
+# perfbench/ is its own module, so the root `go test ./...` never
+# compiles it: vet and test it on its own so an API change in the root
+# module cannot silently break the benchmark.
+.PHONY: perfbench-check
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 COVER_FLOOR ?= 80
 

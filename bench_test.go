@@ -1,24 +1,31 @@
-// Package selfserv_test is the benchmark harness for the experiments
-// catalogued in DESIGN.md (E1–E7). Each benchmark regenerates one
-// table/figure-equivalent of the paper's demo and claims; EXPERIMENTS.md
-// records the measured series.
+// Package selfserv_test is the experiment harness for E1–E12: each
+// Benchmark* regenerates one table of the paper's demo and claims, or of
+// the platform layers built around them (concurrency, availability,
+// scale-out, live redeploy, durability). The BENCH_*.json files record
+// the measured series; the Makefile's bench-* targets run the short CI
+// smoke versions, several of which fail outright when an invariant
+// breaks.
 //
 // Run everything:
 //
-//	go test -bench=. -benchmem .
+//	go test -bench=. -benchmem -run '^$' .
 //
 // Or one experiment:
 //
-//	go test -bench=BenchmarkE3 .
+//	go test -bench=BenchmarkE3 -run '^$' .
 package selfserv_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,6 +36,7 @@ import (
 	"selfserv/internal/community"
 	"selfserv/internal/controlplane"
 	"selfserv/internal/core"
+	"selfserv/internal/deployer"
 	"selfserv/internal/discovery"
 	"selfserv/internal/engine"
 	"selfserv/internal/hostapi"
@@ -50,6 +58,13 @@ func deployP2P(b *testing.B, sc *statechart.Statechart, register func(p *core.Pl
 	p := core.New(core.Options{Funcs: workload.TravelGuards()})
 	b.Cleanup(func() { p.Close() })
 	register(p)
+	return p, deployOn(b, p, sc)
+}
+
+// deployOn deploys sc on p with one host per service, each serving the
+// provider registered under the service's name.
+func deployOn(b *testing.B, p *core.Platform, sc *statechart.Statechart) *core.Composite {
+	b.Helper()
 	for i, svc := range sc.Services() {
 		h, err := p.AddHost(fmt.Sprintf("host-%d-%s", i, svc))
 		if err != nil {
@@ -65,7 +80,7 @@ func deployP2P(b *testing.B, sc *statechart.Statechart, register func(p *core.Pl
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, comp
+	return comp
 }
 
 func registerTravel(b *testing.B) func(*core.Platform) {
@@ -76,33 +91,54 @@ func registerTravel(b *testing.B) func(*core.Platform) {
 	}
 }
 
+// shapeWorkload returns Chain(k) or Parallel(k) with the matching
+// provider registration.
+func shapeWorkload(shape string, k int) (*statechart.Statechart, func(*core.Platform)) {
+	if shape == "chain" {
+		return workload.Chain(k), func(p *core.Platform) {
+			workload.RegisterChainProviders(p.Registry(), k, service.SimulatedOptions{})
+		}
+	}
+	return workload.Parallel(k), func(p *core.Platform) {
+		workload.RegisterParallelProviders(p.Registry(), k, service.SimulatedOptions{})
+	}
+}
+
 // --- E1: the travel scenario (Fig 2) ---------------------------------
 
 // BenchmarkE1TravelScenario measures end-to-end latency of the paper's
 // demo composite for each of its control-flow variants: domestic/near
-// (4 services), domestic/far (5 services incl. car rental),
-// international/far, international/near.
+// (DFB, AS, AB), domestic/far (DFB, AS, AB, CR), international/far (ITA,
+// AS, AB, CR), international/near (ITA, AS, AB). Each run fails unless
+// the guards rented a car exactly on the "far" variants.
 func BenchmarkE1TravelScenario(b *testing.B) {
 	variants := []struct {
 		name string
 		dest string
+		car  bool
 	}{
-		{"domestic-near/sydney", "sydney"},
-		{"domestic-far/melbourne", "melbourne"},
-		{"international-far/tokyo", "tokyo"},
-		{"international-near/paris", "paris"},
+		{"domestic-near/sydney", "sydney", false},
+		{"domestic-far/melbourne", "melbourne", true},
+		{"international-far/tokyo", "tokyo", true},
+		{"international-near/paris", "paris", false},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			_, comp := deployP2P(b, workload.Travel(), registerTravel(b))
 			req := workload.TravelRequest("bench", v.dest, true)
 			ctx := context.Background()
+			var out map[string]string
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := comp.Execute(ctx, req); err != nil {
+				var err error
+				if out, err = comp.Execute(ctx, req); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if car := out["carRef"] != ""; car != v.car {
+				b.Fatalf("E1 %s: car rented = %v, want %v", v.dest, car, v.car)
 			}
 		})
 	}
@@ -176,24 +212,9 @@ func BenchmarkE2DiscoveryThroughput(b *testing.B) {
 // engine against the hub baseline on chains and parallel fans of growing
 // width. Per-node load is E7.
 func BenchmarkE3P2PvsCentral(b *testing.B) {
-	sizes := []int{2, 4, 8, 16, 32}
-	for _, k := range sizes {
-		k := k
+	for _, k := range []int{2, 4, 8, 16, 32} {
 		for _, shape := range []string{"chain", "parallel"} {
-			shape := shape
-			var sc *statechart.Statechart
-			var register func(p *core.Platform)
-			if shape == "chain" {
-				sc = workload.Chain(k)
-				register = func(p *core.Platform) {
-					workload.RegisterChainProviders(p.Registry(), k, service.SimulatedOptions{})
-				}
-			} else {
-				sc = workload.Parallel(k)
-				register = func(p *core.Platform) {
-					workload.RegisterParallelProviders(p.Registry(), k, service.SimulatedOptions{})
-				}
-			}
+			sc, register := shapeWorkload(shape, k)
 			b.Run(fmt.Sprintf("%s-%d/p2p", shape, k), func(b *testing.B) {
 				p, comp := deployP2P(b, sc, register)
 				ctx := context.Background()
@@ -355,22 +376,8 @@ func BenchmarkE3PipelinedChainTCP(b *testing.B) {
 func BenchmarkE8ConcurrentInstances(b *testing.B) {
 	const k = 8
 	for _, shape := range []string{"parallel", "chain"} {
-		shape := shape
-		var sc *statechart.Statechart
-		var register func(p *core.Platform)
-		if shape == "chain" {
-			sc = workload.Chain(k)
-			register = func(p *core.Platform) {
-				workload.RegisterChainProviders(p.Registry(), k, service.SimulatedOptions{})
-			}
-		} else {
-			sc = workload.Parallel(k)
-			register = func(p *core.Platform) {
-				workload.RegisterParallelProviders(p.Registry(), k, service.SimulatedOptions{})
-			}
-		}
+		sc, register := shapeWorkload(shape, k)
 		for _, m := range []int{1, 8, 64, 256} {
-			m := m
 			b.Run(fmt.Sprintf("%s-%d/inflight-%d", shape, k, m), func(b *testing.B) {
 				_, comp := deployP2P(b, sc, register)
 				ctx := context.Background()
@@ -429,7 +436,8 @@ func BenchmarkE8ConcurrentInstances(b *testing.B) {
 
 // BenchmarkE4CommunityPolicies measures delegation under heterogeneous
 // members (fast, slow, flaky, pricey) for each policy. ns/op is the mean
-// invocation latency; the fail metric reports the failure fraction.
+// invocation latency; failrate is the failure fraction and <brand>-share
+// the fraction of delegations each member received.
 func BenchmarkE4CommunityPolicies(b *testing.B) {
 	for _, policyName := range []string{"random", "round-robin", "least-loaded", "qos", "cheapest"} {
 		policyName := policyName
@@ -472,7 +480,11 @@ func BenchmarkE4CommunityPolicies(b *testing.B) {
 					failures++
 				}
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(failures)/float64(b.N), "failrate")
+			for _, m := range members {
+				b.ReportMetric(float64(comm.History().Snapshot(m.brand).Executions)/float64(b.N), m.brand+"-share")
+			}
 		})
 	}
 }
@@ -491,14 +503,15 @@ func BenchmarkE5RoutingTableGen(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("states-%d/depth-%d", n, depth), func(b *testing.B) {
 				b.ReportAllocs()
+				var plan *routing.Plan
 				for i := 0; i < b.N; i++ {
-					plan, err := routing.Generate(sc)
-					if err != nil {
+					var err error
+					if plan, err = routing.Generate(sc); err != nil {
 						b.Fatal(err)
 					}
-					_ = plan
 				}
 				b.ReportMetric(float64(len(sc.BasicStates())), "basicstates")
+				b.ReportMetric(float64(len(plan.Tables)), "tables")
 			})
 		}
 	}
@@ -506,9 +519,9 @@ func BenchmarkE5RoutingTableGen(b *testing.B) {
 
 // --- E6: locate and execute (Fig 3) ------------------------------------
 
-// BenchmarkE6LocateAndExecute measures the full end-user flow: search the
-// UDDI registry, resolve WSDL binding details, and invoke the operation
-// via SOAP.
+// BenchmarkE6LocateAndExecute measures the end-user flow step by step:
+// locate (search the UDDI registry and resolve the WSDL binding), invoke
+// (the SOAP call against an already located service), and both together.
 func BenchmarkE6LocateAndExecute(b *testing.B) {
 	reg := uddi.NewRegistry()
 	mux := uddi.Serve(reg, nil)
@@ -533,13 +546,7 @@ func BenchmarkE6LocateAndExecute(b *testing.B) {
 	}
 	params := map[string]string{"customer": "bench", "dest": "sydney"}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loc, err := eng.LocateOne("DomesticFlightBooking")
-		if err != nil {
-			b.Fatal(err)
-		}
+	invoke := func(b *testing.B, loc *discovery.Located) {
 		out, err := eng.Invoke(ctx, loc, "book", params)
 		if err != nil {
 			b.Fatal(err)
@@ -548,21 +555,44 @@ func BenchmarkE6LocateAndExecute(b *testing.B) {
 			b.Fatal("no ref")
 		}
 	}
+	locate := func(b *testing.B) *discovery.Located {
+		loc, err := eng.LocateOne("DomesticFlightBooking")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return loc
+	}
+	b.Run("locate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			locate(b)
+		}
+	})
+	b.Run("invoke", func(b *testing.B) {
+		loc := locate(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			invoke(b, loc)
+		}
+	})
+	b.Run("locate+invoke", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			invoke(b, locate(b))
+		}
+	})
 }
 
 // --- E7: per-node coordination load ------------------------------------
 
 // BenchmarkE7NodeLoad reports messages handled per execution by (a) the
-// busiest coordinator node under P2P and (b) the hub under centralized
-// orchestration, on Parallel(k). The paper's availability argument is
-// exactly this asymmetry.
+// busiest coordinator node and the wrapper under P2P and (b) the hub
+// under centralized orchestration, on Parallel(k). The paper's
+// availability argument is exactly this asymmetry.
 func BenchmarkE7NodeLoad(b *testing.B) {
 	for _, k := range []int{4, 8, 16} {
-		k := k
-		sc := workload.Parallel(k)
-		register := func(p *core.Platform) {
-			workload.RegisterParallelProviders(p.Registry(), k, service.SimulatedOptions{})
-		}
+		sc, register := shapeWorkload("parallel", k)
 		b.Run(fmt.Sprintf("parallel-%d/p2p", k), func(b *testing.B) {
 			p, comp := deployP2P(b, sc, register)
 			ctx := context.Background()
@@ -584,6 +614,8 @@ func BenchmarkE7NodeLoad(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(worstCoord)/float64(b.N), "busiest-msgs/exec")
+			wrapper := stats.Nodes[comp.Wrapper().Addr()]
+			b.ReportMetric(float64(wrapper.MsgsIn+wrapper.MsgsOut)/float64(b.N), "wrapper-msgs/exec")
 			total := stats.Total()
 			b.ReportMetric(float64(total.FramesOut)/float64(b.N), "frames/exec")
 		})
@@ -611,15 +643,6 @@ func BenchmarkE7NodeLoad(b *testing.B) {
 
 // --- E9: availability under churn --------------------------------------
 
-// incStep is the chain workload's step function: x -> x+1.
-func incStep(_ context.Context, p map[string]string) (map[string]string, error) {
-	x, err := strconv.Atoi(p["x"])
-	if err != nil {
-		return nil, fmt.Errorf("bad x %q: %w", p["x"], err)
-	}
-	return map[string]string{"x": strconv.Itoa(x + 1)}, nil
-}
-
 // chaosChain deploys Chain(8) whose fourth state is served by a
 // two-member community — a primary the chaos scenario abuses and a
 // steady backup — over an in-memory network with the given message drop
@@ -641,10 +664,9 @@ func chaosChain(b *testing.B, dropRate, primaryFail float64, churn bool) (*core.
 		net.Close()
 	})
 
-	primary := service.NewSimulated("ChaosPrimary", service.SimulatedOptions{FailRate: primaryFail, Seed: 11})
-	primary.Handle("run", incStep)
-	backup := service.NewSimulated("ChaosBackup", service.SimulatedOptions{})
-	backup.Handle("run", incStep)
+	primary := service.NewSimulated("ChaosPrimary", service.SimulatedOptions{FailRate: primaryFail, Seed: 11}).
+		Handle("run", workload.IncrementX)
+	backup := service.NewSimulated("ChaosBackup", service.SimulatedOptions{}).Handle("run", workload.IncrementX)
 
 	sc := workload.Chain(k)
 	for i, svc := range sc.Services() {
@@ -672,9 +694,7 @@ func chaosChain(b *testing.B, dropRate, primaryFail float64, churn bool) (*core.
 			p.RegisterService(h, comm)
 			continue
 		}
-		s := service.NewSimulated(svc, service.SimulatedOptions{})
-		s.Handle("run", incStep)
-		p.RegisterService(h, s)
+		p.RegisterService(h, service.NewSimulated(svc, service.SimulatedOptions{}).Handle("run", workload.IncrementX))
 	}
 	comp, err := p.Deploy(sc)
 	if err != nil {
@@ -683,15 +703,36 @@ func chaosChain(b *testing.B, dropRate, primaryFail float64, churn bool) (*core.
 	return comp, primary
 }
 
-// BenchmarkE9Availability is the chaos sweep behind BENCH_availability
-// .json: Chain(8) with a community-backed state, executed under three
-// chaos scenarios — the preferred member dead (death), 2% message loss
-// plus a flaky member (loss), and a noisy tenant flooding the platform
-// (overload) — each with the churn layer off (single delegation, no
-// breakers, no limits) and on (failover + breakers + tenant limits).
-// Reported per cell: completion rate and p95 latency of completed
-// executions. Timed-out or faulted executions count against completion.
+// BenchmarkE9Availability measures completion under failure, Chain(8).
+//
+//   - drop-*/p2p|central: a lossy transport with no retransmission, as in
+//     the paper's fire-and-forget socket exchanges. The peer-to-peer plan
+//     needs about k+1 messages per execution while the hub needs 2k, so at
+//     equal link loss the hub fails roughly twice as often: the
+//     quantitative face of §1's availability argument.
+//   - death|loss|overload/churn-*: the chaos sweep behind
+//     BENCH_availability.json, with a community-backed state. The
+//     preferred member dies (death), 2% message loss meets a flaky member
+//     (loss), or a noisy tenant floods the platform (overload), each with
+//     the churn layer off (single delegation, no breakers, no limits) and
+//     on (failover + breakers + tenant limits).
+//
+// Reported per cell: completion rate, plus p95 latency of completed
+// executions for the chaos cells. Timed-out or faulted executions count
+// against completion.
 func BenchmarkE9Availability(b *testing.B) {
+	for _, pct := range []int{0, 1, 3, 8} {
+		for _, hub := range []bool{false, true} {
+			mode := "p2p"
+			if hub {
+				mode = "central"
+			}
+			b.Run(fmt.Sprintf("drop-%d%%/%s", pct, mode), func(b *testing.B) {
+				e9Drop(b, float64(pct)/100, hub)
+			})
+		}
+	}
+
 	scenarios := []struct {
 		name     string
 		drop     float64 // transport message drop rate
@@ -768,6 +809,221 @@ func BenchmarkE9Availability(b *testing.B) {
 	}
 }
 
+// e9Drop runs b.N Chain(8) executions over an in-memory network that
+// drops the given fraction of messages, through the P2P wrapper or the
+// central hub, and reports the completion rate.
+func e9Drop(b *testing.B, drop float64, hub bool) {
+	const k = 8
+	net := transport.NewInMem(transport.InMemOptions{DropRate: drop, Seed: 7})
+	p := core.New(core.Options{Network: net})
+	b.Cleanup(func() {
+		p.Close()
+		net.Close()
+	})
+	workload.RegisterChainProviders(p.Registry(), k, service.SimulatedOptions{})
+	comp := deployOn(b, p, workload.Chain(k))
+	run := comp.Execute
+	if hub {
+		central, err := comp.NewCentralBaseline("central")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { central.Close() })
+		run = central.Execute
+	}
+	in := map[string]string{"x": "0"}
+	ok := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		if _, err := run(ctx, in); err == nil {
+			ok++
+		}
+		cancel()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ok)/float64(b.N), "completion")
+}
+
+// --- E10: horizontal scale-out -----------------------------------------
+
+// e10AddrRE extracts the admin address from hostd's startup log line.
+var e10AddrRE = regexp.MustCompile(`coordination on \S+, admin on (http://\S+), services`)
+
+// e10Daemon spawns one hostd replica hosting every Chain(4) service on
+// ephemeral ports, with provider capacity capped at 2 concurrent
+// invocations x 8ms, and returns its admin URL once it has announced it.
+// Cleanup kills the process.
+func e10Daemon(b *testing.B, bin string) string {
+	b.Helper()
+	cmd := exec.Command(bin,
+		"-services", "inc:svc1,inc:svc2,inc:svc3,inc:svc4",
+		"-latency", "8ms",
+		"-svc-concurrency", "2")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		b.Fatalf("E10: start hostd: %v", err)
+	}
+	b.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		if m := e10AddrRE.FindStringSubmatch(sc.Text()); m != nil {
+			// Keep draining stderr so the daemon never blocks on a full pipe.
+			go io.Copy(io.Discard, stderr)
+			return m[1]
+		}
+	}
+	b.Fatal("E10: hostd exited before announcing its addresses")
+	return ""
+}
+
+// BenchmarkE10ScaleOut is the scale-out sweep behind BENCH_scaleout.json:
+// Chain(4) deployed across R ∈ {1, 2, 4} real hostd processes, each
+// hosting every service of the chain, driven by 48 workers through a
+// local wrapper. One replica saturates near 250 execs/sec regardless of
+// CPU, so adding replicas, not cores, is what buys throughput.
+// Deterministic tenant-aware routing spreads instances over the replica
+// set; each cell FAILS unless the wrapper saw exactly one message out
+// and one in per execution (replica routing never costs an RPC).
+// Reported per cell: execs/sec, p50/p95 latency, wrapper msgs/exec, and
+// execs/sec relative to R=1 when that cell ran first.
+func BenchmarkE10ScaleOut(b *testing.B) {
+	bin := filepath.Join(b.TempDir(), "hostd")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/hostd").CombinedOutput(); err != nil {
+		b.Fatalf("E10: build hostd: %v\n%s", err, out)
+	}
+	var base float64
+	for _, replicas := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("replicas-%d", replicas), func(b *testing.B) {
+			eps := e10Cell(b, bin, replicas)
+			if replicas == 1 {
+				base = eps
+			} else if base > 0 {
+				b.ReportMetric(eps/base, "x-vs-R1")
+			}
+		})
+	}
+}
+
+// e10Cell spawns the replicas, deploys Chain(4) onto all of them, runs
+// b.N executions from a wrapper with its own TCP transport and
+// directory, and returns execs/sec.
+func e10Cell(b *testing.B, bin string, replicas int) float64 {
+	const workers = 48
+	sc := workload.Chain(4)
+	var installers []*hostapi.RemoteInstaller
+	for r := 0; r < replicas; r++ {
+		ri, err := hostapi.NewRemoteInstaller(e10Daemon(b, bin))
+		if err != nil {
+			b.Fatalf("E10: admin dial: %v", err)
+		}
+		installers = append(installers, ri)
+	}
+	pl := deployer.Placement{}
+	for _, svc := range sc.Services() {
+		for _, ri := range installers {
+			pl[svc] = append(pl[svc], ri)
+		}
+	}
+	dep, err := deployer.Deploy(sc, pl)
+	if err != nil {
+		b.Fatalf("E10: deploy across %d replicas: %v", replicas, err)
+	}
+
+	wnet := transport.NewTCP()
+	b.Cleanup(func() { wnet.Close() })
+	wdir := engine.NewDirectory()
+	for state, addrs := range dep.Hosts {
+		wdir.SetReplicas(sc.Name, state, addrs)
+	}
+	w, err := engine.NewWrapper(wnet, "127.0.0.1:0", wdir, dep.Plan, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { w.Close() })
+	peers := map[string][]string{message.WrapperID: {w.Addr()}}
+	for state, addrs := range dep.Hosts {
+		peers[state] = addrs
+	}
+	for _, ri := range installers {
+		if err := ri.Client.PushReplicaDirectory(sc.Name, peers); err != nil {
+			b.Fatalf("E10: push replica directory: %v", err)
+		}
+	}
+	warm, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	_, err = w.Execute(warm, map[string]string{"x": "0"})
+	cancel()
+	if err != nil {
+		b.Fatalf("E10: warmup (R=%d): %v", replicas, err)
+	}
+
+	before := wnet.Stats().Total()
+	var next atomic.Int64
+	var execErr atomic.Pointer[error]
+	lat := make([][]time.Duration, workers)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				t0 := time.Now()
+				out, err := w.Execute(ctx, map[string]string{
+					"x":              "0",
+					engine.TenantVar: fmt.Sprintf("tenant-%d", i%7),
+				})
+				cancel()
+				if err == nil && out["x"] != "4" {
+					err = fmt.Errorf("x = %q, want 4", out["x"])
+				}
+				if err != nil {
+					// FailNow must not run off the benchmark goroutine;
+					// park the first error instead.
+					execErr.CompareAndSwap(nil, &err)
+					return
+				}
+				lat[wi] = append(lat[wi], time.Since(t0))
+			}
+		}(wi)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	if errp := execErr.Load(); errp != nil {
+		b.Fatalf("E10: exec (R=%d): %v", replicas, *errp)
+	}
+	after := wnet.Stats().Total()
+
+	// Routing-never-RPCs: the wrapper exchanges EXACTLY one start message
+	// out and one completion message in per execution, no matter how many
+	// replicas each state has. Any replica-resolution chatter shows here.
+	dOut, dIn := after.MsgsOut-before.MsgsOut, after.MsgsIn-before.MsgsIn
+	if dOut != int64(b.N) || dIn != int64(b.N) {
+		b.Fatalf("E10 (R=%d): wrapper transport saw %d msgs out / %d in for %d execs; want exactly %d/%d — replica routing must stay RPC-free",
+			replicas, dOut, dIn, b.N, b.N, b.N)
+	}
+	var all []time.Duration
+	for _, ls := range lat {
+		all = append(all, ls...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	eps := float64(len(all)) / elapsed.Seconds()
+	b.ReportMetric(eps, "execs/sec")
+	b.ReportMetric(float64(all[len(all)/2].Microseconds()), "p50-µs")
+	b.ReportMetric(float64(all[len(all)*95/100].Microseconds()), "p95-µs")
+	b.ReportMetric(float64(dOut+dIn)/float64(b.N), "wrapper-msgs/exec")
+	return eps
+}
+
 // --- E11: zero-downtime redeploy ---------------------------------------
 
 // e11Fleet is a controlplane-managed deployment of Chain(n): one hostapi
@@ -788,9 +1044,7 @@ func newE11Fleet(b *testing.B, n int) *e11Fleet {
 	var urls []string
 	for i := 1; i <= n; i++ {
 		reg := service.NewRegistry()
-		s := service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{})
-		s.Handle("run", incStep)
-		reg.Register(s)
+		reg.Register(service.NewSimulated(fmt.Sprintf("svc%d", i), service.SimulatedOptions{}).Handle("run", workload.IncrementX))
 		dir := engine.NewDirectory()
 		h, err := engine.NewHost(net, fmt.Sprintf("e11-coord-%d", i), reg, dir, engine.HostOptions{})
 		if err != nil {
@@ -873,9 +1127,7 @@ func BenchmarkE11Redeploy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := service.NewSimulated(svc, service.SimulatedOptions{})
-			s.Handle("run", incStep)
-			p.RegisterService(h, s)
+			p.RegisterService(h, service.NewSimulated(svc, service.SimulatedOptions{}).Handle("run", workload.IncrementX))
 		}
 		comp, err := p.Deploy(sc)
 		if err != nil {
@@ -978,6 +1230,29 @@ func BenchmarkE11Redeploy(b *testing.B) {
 	})
 }
 
+// e12Deploy adds one host to p serving every Chain(n) service behind
+// the idempotency layer and deploys the chain on it.
+func e12Deploy(b *testing.B, p *core.Platform, host string, n int) *core.Composite {
+	b.Helper()
+	if err := p.DurabilityError(); err != nil {
+		b.Fatal(err)
+	}
+	h, err := p.AddHost(host)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := workload.Chain(n)
+	for _, svc := range sc.Services() {
+		s := service.NewSimulated(svc, service.SimulatedOptions{}).Handle("run", workload.IncrementX)
+		p.RegisterService(h, service.NewIdempotent(s, 0))
+	}
+	comp, err := p.Deploy(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return comp
+}
+
 // e12Chain deploys Chain(n) on a single-host platform with the given
 // options and runs b.N sequential executions, reporting the journal's
 // append and fsync cost per execution. The journal-on and journal-off
@@ -985,23 +1260,7 @@ func BenchmarkE11Redeploy(b *testing.B) {
 func e12Chain(b *testing.B, n int, opts core.Options) {
 	p := core.New(opts)
 	b.Cleanup(func() { p.Close() })
-	if err := p.DurabilityError(); err != nil {
-		b.Fatal(err)
-	}
-	h, err := p.AddHost("e12-host")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := workload.Chain(n)
-	for _, svc := range sc.Services() {
-		s := service.NewSimulated(svc, service.SimulatedOptions{})
-		s.Handle("run", incStep)
-		p.RegisterService(h, service.NewIdempotent(s, 0))
-	}
-	comp, err := p.Deploy(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := e12Deploy(b, p, "e12-host", n)
 	ctx := context.Background()
 	in := map[string]string{"x": "0"}
 	b.ResetTimer()
@@ -1101,23 +1360,7 @@ func e12JoinCycle(b *testing.B, cap int) (time.Duration, uint64) {
 func e12BuildJournal(b *testing.B, dir string, chain, execs int) {
 	b.Helper()
 	p := core.New(core.Options{Durability: journal.Options{Dir: dir, Fsync: journal.FsyncOff}})
-	if err := p.DurabilityError(); err != nil {
-		b.Fatal(err)
-	}
-	h, err := p.AddHost("e12-rec-host")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := workload.Chain(chain)
-	for _, svc := range sc.Services() {
-		s := service.NewSimulated(svc, service.SimulatedOptions{})
-		s.Handle("run", incStep)
-		p.RegisterService(h, service.NewIdempotent(s, 0))
-	}
-	comp, err := p.Deploy(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
+	comp := e12Deploy(b, p, "e12-rec-host", chain)
 	ctx := context.Background()
 	for e := 0; e < execs; e++ {
 		if _, err := comp.Execute(ctx, map[string]string{"x": "0"}); err != nil {
@@ -1191,22 +1434,7 @@ func BenchmarkE12Durability(b *testing.B) {
 				// chart re-deployed (reproducing plan version 1 — the
 				// version the journal records name).
 				p := core.New(core.Options{Durability: journal.Options{Dir: dir, Fsync: journal.FsyncOff}})
-				if err := p.DurabilityError(); err != nil {
-					b.Fatal(err)
-				}
-				h, err := p.AddHost("e12-rec-host")
-				if err != nil {
-					b.Fatal(err)
-				}
-				sc := workload.Chain(chain)
-				for _, svc := range sc.Services() {
-					s := service.NewSimulated(svc, service.SimulatedOptions{})
-					s.Handle("run", incStep)
-					p.RegisterService(h, service.NewIdempotent(s, 0))
-				}
-				if _, err := p.Deploy(sc); err != nil {
-					b.Fatal(err)
-				}
+				e12Deploy(b, p, "e12-rec-host", chain)
 				b.StartTimer()
 				stats, err := p.Recover(ctx)
 				b.StopTimer()

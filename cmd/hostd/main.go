@@ -322,15 +322,7 @@ func registerServices(reg *service.Registry, spec string, opts service.Simulated
 			reg.Register(service.NewSimulated(parts[1], opts).Echo(parts[2]))
 		case strings.HasPrefix(name, "inc:"):
 			svcName := strings.TrimPrefix(name, "inc:")
-			s := service.NewSimulated(svcName, opts)
-			s.Handle("run", func(_ context.Context, p map[string]string) (map[string]string, error) {
-				x, err := strconv.ParseFloat(p["x"], 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad x %q: %w", p["x"], err)
-				}
-				return map[string]string{"x": strconv.FormatFloat(x+1, 'g', -1, 64)}, nil
-			})
-			reg.Register(s)
+			reg.Register(service.NewSimulated(svcName, opts).Handle("run", workload.IncrementX))
 		default:
 			return nil, fmt.Errorf("hostd: unknown service %q", name)
 		}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,31 +49,48 @@ type Member struct {
 	Attributes map[string]string
 	// Predicate optionally restricts which requests the member can serve:
 	// an expression over request parameters (prefixed "req.") and member
-	// attributes (bare names). Empty accepts everything.
+	// attributes (bare names). Empty accepts everything. Join compiles it
+	// once; later edits to the field have no effect.
 	Predicate string
+
+	pred *expr.Program // compiled Predicate; nil accepts everything
 }
 
 // Name returns the member's provider name.
 func (m *Member) Name() string { return m.Provider.Name() }
 
-// eligible evaluates the member's predicate against a request.
+// eligible evaluates the member's compiled predicate against a request.
 func (m *Member) eligible(req service.Request) (bool, error) {
-	if m.Predicate == "" {
+	if m.pred == nil {
 		return true, nil
 	}
-	env := expr.NewMapEnv()
-	for k, v := range m.Attributes {
-		env.BindText(k, v)
-	}
-	for k, v := range req.Params {
-		env.BindText("req."+k, v)
-	}
-	ok, err := expr.EvalBool(m.Predicate, env)
+	ok, err := m.pred.EvalBool(memberEnv{attrs: m.Attributes, params: req.Params})
 	if err != nil {
 		return false, fmt.Errorf("community: member %q predicate: %w", m.Name(), err)
 	}
 	return ok, nil
 }
+
+// memberEnv resolves a predicate's variables straight from the member's
+// attributes and the request's parameters: "req.<name>" is a parameter
+// (falling back to an attribute of that literal name), a bare name an
+// attribute. Functions are the expression built-ins.
+type memberEnv struct {
+	attrs, params map[string]string
+}
+
+// Lookup implements expr.Env.
+func (e memberEnv) Lookup(name string) (expr.Value, bool) {
+	if param, ok := strings.CutPrefix(name, "req."); ok {
+		if raw, ok := e.params[param]; ok {
+			return expr.FromText(raw), true
+		}
+	}
+	return expr.TextVars(e.attrs).Lookup(name)
+}
+
+// Func implements expr.Env.
+func (memberEnv) Func(name string) (expr.Func, bool) { return expr.FuncsEnv(nil).Func(name) }
 
 // Options configure a community.
 type Options struct {
@@ -208,13 +226,16 @@ func (c *Community) Join(m *Member) error {
 	if m == nil || m.Provider == nil {
 		return fmt.Errorf("community %q: nil member", c.name)
 	}
+	var pred *expr.Program
 	if m.Predicate != "" {
-		if _, err := expr.Parse(m.Predicate); err != nil {
+		var err error
+		if pred, err = expr.Compile(m.Predicate); err != nil {
 			return fmt.Errorf("community %q: member %q: %w", c.name, m.Name(), err)
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	m.pred = pred
 	c.members[m.Name()] = m
 	return nil
 }

@@ -43,6 +43,48 @@ func TestJoinLeaveMembers(t *testing.T) {
 	}
 }
 
+// TestPredicateCompiledAtJoin: Join rejects a predicate that does not
+// parse, and a joined member's predicate sees request parameters under
+// "req.", attributes by bare name, and the expression built-ins.
+func TestPredicateCompiledAtJoin(t *testing.T) {
+	c := New("AccommodationBooking", Options{})
+	for _, bad := range []string{"(((", "city = ", "req.dest ="} {
+		m := member("Bad", 1, service.SimulatedOptions{})
+		m.Predicate = bad
+		if err := c.Join(m); err == nil {
+			t.Errorf("Join with predicate %q succeeded", bad)
+		}
+	}
+	if got := c.Members(); len(got) != 0 {
+		t.Fatalf("rejected members joined: %v", got)
+	}
+
+	m := member("Harbour", 1, service.SimulatedOptions{})
+	m.Attributes = map[string]string{"city": "sydney", "stars": "4"}
+	m.Predicate = "prefix(req.dest, city) and number(req.stars) <= stars"
+	if err := c.Join(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		params map[string]string
+		want   bool
+	}{
+		{map[string]string{"dest": "sydney-cbd", "stars": "3"}, true},
+		{map[string]string{"dest": "sydney", "stars": "5"}, false},
+		{map[string]string{"dest": "tokyo", "stars": "3"}, false},
+	} {
+		got, err := m.eligible(service.Request{Params: tc.params})
+		if err != nil || got != tc.want {
+			t.Errorf("eligible(%v) = %v, %v; want %v", tc.params, got, err, tc.want)
+		}
+	}
+	// A parameter the predicate needs but the request lacks is an
+	// evaluation error, which disqualifies the member for that request.
+	if _, err := m.eligible(service.Request{Params: map[string]string{"dest": "sydney"}}); err == nil {
+		t.Error("eligible without req.stars succeeded, want error")
+	}
+}
+
 func TestInvokeDelegates(t *testing.T) {
 	c := New("AccommodationBooking", Options{})
 	if err := c.Join(member("HotelA", 1, service.SimulatedOptions{})); err != nil {

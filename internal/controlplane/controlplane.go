@@ -277,23 +277,10 @@ func (cp *ControlPlane) Apply(rel *Release, wrapperAddr string) error {
 	return nil
 }
 
-// Rollout is Prepare followed by Apply — the one-call path when the
-// wrapper address is already known (or there is no remote wrapper).
-func (cp *ControlPlane) Rollout(sc *statechart.Statechart, wrapperAddr string) (*Release, error) {
-	rel, err := cp.Prepare(sc)
-	if err != nil {
-		return nil, err
-	}
-	if err := cp.Apply(rel, wrapperAddr); err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
 // Recover replays the durability journal on every host of the fleet —
 // the second half of recovery-aware activation. The restart playbook
 // for a durable fleet (docs/durability.md) is: bring the daemons back
-// up over their journal directories, Apply (or Rollout) the composite
+// up over their journal directories, Prepare and Apply the composite
 // so every host holds its tables and the release is ACTIVATED, then
 // Recover so each daemon replays its journal into live coordinators.
 // Replay before activation would rebuild instances with nowhere to

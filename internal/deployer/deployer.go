@@ -47,16 +47,6 @@ type CompiledInstaller interface {
 // does (see internal/placement and docs/scaleout.md).
 type Placement map[string][]Installer
 
-// Single places every service on one node — the pre-scale-out
-// convenience constructor for the common one-host-per-service case.
-func Single(hosts map[string]Installer) Placement {
-	p := make(Placement, len(hosts))
-	for svc, h := range hosts {
-		p[svc] = []Installer{h}
-	}
-	return p
-}
-
 // Deployment is the result of a successful deploy.
 type Deployment struct {
 	// Plan is the declarative routing plan.

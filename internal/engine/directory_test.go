@@ -21,10 +21,10 @@ func TestDirectoryRouteDeterministicAcrossNodes(t *testing.T) {
 
 	replicas := []string{"r1", "r2", "r3", "r4"}
 	for _, a := range replicas { // forward order
-		d1.AddReplica("C", "s1", a)
+		d1.AddReplicaV("C", 0, "s1", a)
 	}
 	for i := len(replicas) - 1; i >= 0; i-- { // reverse order
-		d2.AddReplica("C", "s1", replicas[i])
+		d2.AddReplicaV("C", 0, "s1", replicas[i])
 	}
 
 	check := func(phase string) {
@@ -44,13 +44,13 @@ func TestDirectoryRouteDeterministicAcrossNodes(t *testing.T) {
 	check("initial")
 
 	// A directory update (scale-out event) must leave the nodes agreeing.
-	d1.AddReplica("C", "s1", "r5")
-	d2.AddReplica("C", "s1", "r5")
-	check("after AddReplica")
+	d1.AddReplicaV("C", 0, "s1", "r5")
+	d2.AddReplicaV("C", 0, "s1", "r5")
+	check("after AddReplicaV")
 
-	d1.RemoveReplica("C", "s1", "r2")
-	d2.RemoveReplica("C", "s1", "r2")
-	check("after RemoveReplica")
+	d1.RemoveReplicaV("C", 0, "s1", "r2")
+	d2.RemoveReplicaV("C", 0, "s1", "r2")
+	check("after RemoveReplicaV")
 	for _, d := range []*Directory{d1, d2} {
 		if got := d.Replicas("C", "s1"); len(got) != 4 {
 			t.Fatalf("replicas = %v", got)
@@ -58,23 +58,20 @@ func TestDirectoryRouteDeterministicAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestDirectoryReplicaSetSemantics pins the Set/AddReplica/Remove
-// contract: Set replaces with a singleton, AddReplica is idempotent,
+// TestDirectoryReplicaSetSemantics pins the Set/AddReplicaV/RemoveReplicaV
+// contract: Set replaces with a singleton, AddReplicaV is idempotent,
 // removing the last replica drops the peer, Lookup returns the
 // canonical first replica.
 func TestDirectoryReplicaSetSemantics(t *testing.T) {
 	d := NewDirectory()
-	d.AddReplica("C", "s1", "b")
-	d.AddReplica("C", "s1", "a")
-	d.AddReplica("C", "s1", "a") // idempotent
+	d.AddReplicaV("C", 0, "s1", "b")
+	d.AddReplicaV("C", 0, "s1", "a")
+	d.AddReplicaV("C", 0, "s1", "a") // idempotent
 	if got := d.Replicas("C", "s1"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("replicas = %v", got)
 	}
 	if addr, ok := d.Lookup("C", "s1"); !ok || addr != "a" {
 		t.Fatalf("Lookup = %q, %v", addr, ok)
-	}
-	if pr := d.PeerReplicas("C"); len(pr["s1"]) != 2 {
-		t.Fatalf("PeerReplicas = %v", pr)
 	}
 
 	d.Set("C", "s1", "only")
@@ -82,7 +79,7 @@ func TestDirectoryReplicaSetSemantics(t *testing.T) {
 		t.Fatalf("after Set, replicas = %v", got)
 	}
 
-	d.RemoveReplica("C", "s1", "only")
+	d.RemoveReplicaV("C", 0, "s1", "only")
 	if _, ok := d.Lookup("C", "s1"); ok {
 		t.Fatal("peer survived removal of its last replica")
 	}
@@ -97,7 +94,7 @@ func TestDirectoryReplicaSetSemantics(t *testing.T) {
 func TestDirectorySetPolicyRebuilds(t *testing.T) {
 	d := NewDirectory()
 	for _, a := range []string{"r1", "r2", "r3", "r4"} {
-		d.AddReplica("C", "s1", a)
+		d.AddReplicaV("C", 0, "s1", a)
 	}
 	d.SetPolicy(placement.Policy{Dedicated: map[string]int{"visa": 2}})
 

@@ -301,15 +301,10 @@ func (d *Directory) SetReplicasV(composite string, version uint64, id string, ad
 	})
 }
 
-// AddReplica adds addr to peer id's replica set in the current version
-// (idempotent). The replica set is a SET: the order AddReplica calls
-// arrive in does not affect routing, so nodes that learn of replicas in
-// different orders still agree.
-func (d *Directory) AddReplica(composite, id, addr string) {
-	d.update(composite, 0, true, addReplicaFn(id, addr))
-}
-
-// AddReplicaV is AddReplica against one exact plan version.
+// AddReplicaV adds addr to peer id's replica set in one exact plan
+// version (idempotent). The replica set is a SET: the order AddReplicaV
+// calls arrive in does not affect routing, so nodes that learn of
+// replicas in different orders still agree.
 func (d *Directory) AddReplicaV(composite string, version uint64, id, addr string) {
 	d.update(composite, version, false, addReplicaFn(id, addr))
 }
@@ -324,13 +319,8 @@ func addReplicaFn(id, addr string) func(map[string]*placement.Group, placement.P
 	}
 }
 
-// RemoveReplica removes addr from peer id's replica set in the current
-// version, dropping the peer entirely when no replicas remain.
-func (d *Directory) RemoveReplica(composite, id, addr string) {
-	d.update(composite, 0, true, removeReplicaFn(id, addr))
-}
-
-// RemoveReplicaV is RemoveReplica against one exact plan version.
+// RemoveReplicaV removes addr from peer id's replica set in one exact
+// plan version, dropping the peer entirely when no replicas remain.
 func (d *Directory) RemoveReplicaV(composite string, version uint64, id, addr string) {
 	d.update(composite, version, false, removeReplicaFn(id, addr))
 }
@@ -440,30 +430,6 @@ func (d *Directory) Peers(composite string) map[string]string {
 		if addr, ok := g.First(); ok {
 			out[id] = addr
 		}
-	}
-	return out
-}
-
-// PeerReplicas returns a copy of the full peer->replicas map for
-// composite's current version (the replicated twin of Peers; what
-// deployers push to remote hosts).
-func (d *Directory) PeerReplicas(composite string) map[string][]string {
-	cd := d.snap.Load().comps[composite]
-	if cd == nil {
-		return map[string][]string{}
-	}
-	return peerReplicas(cd.table(cd.current))
-}
-
-// PeerReplicasV is PeerReplicas against one exact plan version.
-func (d *Directory) PeerReplicasV(composite string, version uint64) map[string][]string {
-	return peerReplicas(d.snap.Load().comps[composite].table(version))
-}
-
-func peerReplicas(byID map[string]*placement.Group) map[string][]string {
-	out := make(map[string][]string, len(byID))
-	for id, g := range byID {
-		out[id] = append([]string(nil), g.Addrs()...)
 	}
 	return out
 }

@@ -23,7 +23,11 @@ type HostOptions struct {
 	// Funcs are the guard functions available to condition evaluation.
 	Funcs Funcs
 	// MaxInstancesPerState bounds per-coordinator instance bookkeeping;
-	// the oldest instances are evicted beyond it. Zero means 16384.
+	// the oldest instances are evicted (with a journal, passivated)
+	// beyond it. Coordinators never drop an instance when its execution
+	// finishes, so this cap is also the only thing that reclaims finished
+	// instances: a victim is usually a finished instance. Zero means
+	// 16384.
 	MaxInstancesPerState int
 	// Logf, when set, receives coordinator trace lines (tests and the
 	// hostd binary use it; benchmarks leave it nil).
@@ -86,11 +90,14 @@ func (h *Host) SwapStats() SwapStats {
 	return SwapStats{Rerouted: h.rerouted.Load(), DroppedStale: h.droppedStale.Load()}
 }
 
-// Evicted counts live instances dropped at the cap with their state
-// LOST — the pre-durability FIFO eviction. With a journal configured
-// this should stay zero (cap hits passivate instead); every increment
-// is also logged loudly, because a lost instance stalls or faults its
-// composite.
+// Evicted counts instances dropped at the cap without a journal record —
+// the pre-durability FIFO eviction. Coordinators keep finished instances
+// until the cap reclaims them, so a victim is usually a finished
+// instance, and once a state has run a cap's worth of executions each
+// new one evicts an old one. A victim that was still live loses its
+// state and stalls or faults its composite, so every increment is also
+// logged loudly. With a journal configured this should stay zero (cap
+// hits passivate instead).
 func (h *Host) Evicted() uint64 { return h.evicted.Load() }
 
 // Passivated counts instances serialized to the journal at a cap hit.
@@ -472,7 +479,8 @@ func (c *coordinator) instance(id string) *coordInstance {
 // in flight — or one whose mutex is busy — is vetoed. Otherwise, with a
 // journal configured, the victim's full state is serialized as a
 // passivation record (rehydrated transparently by its next frame); with
-// no journal, the state is LOST, counted, and logged loudly.
+// no journal, the state is dropped, counted, and logged loudly. The
+// victim is usually a finished instance: nothing else removes those.
 func (c *coordinator) onEvict(id string, inst *coordInstance) bool {
 	if !inst.mu.TryLock() {
 		return false
@@ -502,7 +510,7 @@ func (c *coordinator) onEvict(id string, inst *coordInstance) bool {
 		}
 	}
 	c.host.evicted.Add(1)
-	c.host.logf("coord %s/%s: EVICTED live instance %s at cap %d — its state is lost and the execution will stall or fault",
+	c.host.logf("coord %s/%s: EVICTED instance %s at cap %d with no journal record — usually a finished execution; if it was still live, its state is lost and the execution will stall or fault",
 		c.composite, c.table.State, id, c.host.opts.MaxInstancesPerState)
 	return true
 }

@@ -486,16 +486,6 @@ func decodeRecovery(resp *http.Response) (*RecoveryStatus, error) {
 	}
 }
 
-// PushDirectory records peer locations on the daemon (one replica per
-// peer; see PushReplicaDirectory for replica sets).
-func (c *Client) PushDirectory(composite string, peers map[string]string) error {
-	replicas := make(map[string][]string, len(peers))
-	for id, addr := range peers {
-		replicas[id] = []string{addr}
-	}
-	return c.PushReplicaDirectory(composite, replicas)
-}
-
 // PushReplicaDirectory records each peer's full replica set on the
 // daemon (repeated "peerID addr" lines on the wire — old daemons that
 // last-write-win on repeats simply keep one replica).

@@ -8,8 +8,8 @@ import (
 )
 
 // The hand-rolled codec must be observationally identical to the
-// encoding/xml reference kept in marshalXML/unmarshalXML: every message
-// round-trips through all four codec combinations to the same value.
+// encoding/xml oracle in oracle_test.go: every message round-trips
+// through all four codec combinations to the same value.
 
 func randMessage(r *rand.Rand) *Message {
 	randStr := func() string {
@@ -88,24 +88,67 @@ func TestCodecDifferential(t *testing.T) {
 	}
 }
 
-// TestFastPathDeclines: documents outside the fast vocabulary fall back
-// to the reference decoder rather than mis-parsing.
+// TestFastPathDeclines: well-formed XML outside the message vocabulary
+// is declined by the fast path and so rejected by Unmarshal. The oracle
+// shows each document is valid XML that a general decoder would accept.
 func TestFastPathDeclines(t *testing.T) {
 	docs := []string{
 		`<?xml version="1.0"?><message type="notify"></message>`,
 		`<message type="notify"><!-- comment --></message>`,
 		`<message type="notify"><var name="k"><![CDATA[v]]></var></message>`,
-		"<message type=\"notify\">\n  <var name=\"k\">v</var>\n</message>",
 		`<message type="notify" extra="x"></message>`,
+		`<message type="notify"><foreign/></message>`,
 	}
 	for _, doc := range docs {
-		m, err := Unmarshal([]byte(doc))
-		if err != nil {
-			t.Errorf("Unmarshal(%q): %v", doc, err)
-			continue
+		if _, err := unmarshalXML([]byte(doc)); err != nil {
+			t.Fatalf("oracle rejects %q: %v", doc, err)
 		}
-		if m.Type != TypeNotify {
-			t.Errorf("Unmarshal(%q).Type = %q", doc, m.Type)
+		if m, err := Unmarshal([]byte(doc)); err == nil {
+			t.Errorf("Unmarshal(%q) accepted: %+v", doc, m)
+		}
+	}
+	// Insignificant whitespace between elements is still the vocabulary.
+	m, err := Unmarshal([]byte("<message type=\"notify\">\n  <var name=\"k\">v</var>\n</message>"))
+	if err != nil || m.Type != TypeNotify || m.Vars["k"] != "v" {
+		t.Fatalf("Unmarshal(indented) = %+v, %v", m, err)
+	}
+}
+
+// TestOracleRejectsImpliesRejected pins documents the fast path once
+// accepted although encoding/xml rejects them: attributes without
+// separating whitespace, invalid UTF-8, characters XML forbids, and a raw
+// carriage return (which XML parsers rewrite to a line feed).
+func TestOracleRejectsImpliesRejected(t *testing.T) {
+	for _, doc := range []string{
+		`<messagetype="notify"></message>`,
+		`<message type="notify"to="s1"></message>`,
+		`<message type="notify"><varname="k">v</var></message>`,
+		"<message type=\"notify\"><var name=\"k\">\xac</var></message>",
+		"<message type=\"notify\"><var name=\"k\">\x01</var></message>",
+		"<message type=\"notify\"><var name=\"k\">a\rb</var></message>",
+	} {
+		if m, err := Unmarshal([]byte(doc)); err == nil {
+			t.Errorf("Unmarshal(%q) accepted: %+v", doc, m)
+		}
+	}
+}
+
+// TestMarshalSanitizesLikeEncodingXML: values XML cannot carry are
+// written as U+FFFD, exactly as the encoding/xml encoder writes them, so
+// every document Marshal emits decodes.
+func TestMarshalSanitizesLikeEncodingXML(t *testing.T) {
+	m := &Message{Type: TypeNotify, Vars: map[string]string{"k": "a\x01b\xffc\r"}}
+	for _, enc := range []func(*Message) ([]byte, error){Marshal, marshalXML} {
+		data, err := enc(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unmarshal(data)
+		if err != nil {
+			t.Fatalf("Unmarshal(%q): %v", data, err)
+		}
+		if want := "a\uFFFDb\uFFFDc\r"; got.Vars["k"] != want {
+			t.Errorf("decoded %q from %q, want %q", got.Vars["k"], data, want)
 		}
 	}
 }
@@ -118,24 +161,17 @@ func TestFastPathRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestInvalidCharRefsAgree: on character references XML forbids (NUL,
-// surrogates, beyond U+10FFFF) the fast path must DECLINE, so Unmarshal
-// behaves exactly like the encoding/xml reference — whatever that is
-// (it errors on NUL and out-of-range, but accepts surrogates as U+FFFD).
-func TestInvalidCharRefsAgree(t *testing.T) {
+// TestInvalidCharRefsRejected: on character references XML forbids (NUL,
+// surrogates, beyond U+10FFFF) the fast path declines instead of
+// guessing, so Unmarshal rejects the document.
+func TestInvalidCharRefsRejected(t *testing.T) {
 	for _, ref := range []string{"&#0;", "&#55296;", "&#x110000;", "&#xD800;", "&bogus;"} {
 		doc := []byte(`<message type="notify"><var name="k">` + ref + `</var></message>`)
 		if _, ok := unmarshalFast(doc); ok {
 			t.Errorf("unmarshalFast accepted suspect reference %s instead of declining", ref)
 		}
-		got, gotErr := Unmarshal(doc)
-		want, wantErr := unmarshalXML(doc)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("%s: Unmarshal err = %v, reference err = %v", ref, gotErr, wantErr)
-			continue
-		}
-		if gotErr == nil && got.Vars["k"] != want.Vars["k"] {
-			t.Errorf("%s: Unmarshal = %q, reference = %q", ref, got.Vars["k"], want.Vars["k"])
+		if m, err := Unmarshal(doc); err == nil {
+			t.Errorf("%s: Unmarshal accepted: %+v", ref, m)
 		}
 	}
 	// Valid references still work on the fast path.

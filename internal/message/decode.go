@@ -1,8 +1,10 @@
 package message
 
 import (
+	"encoding/binary"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // This file implements the fast path of Unmarshal: a non-reflective
@@ -15,20 +17,23 @@ import (
 //
 // plus insignificant whitespace between elements. Anything else (XML
 // declarations, comments, CDATA, namespaces, unknown children) makes the
-// parser decline, and Unmarshal falls back to encoding/xml. Declining is
-// always safe; accepting is only done when the document parses fully.
+// parser decline, and Unmarshal rejects the document. Accepting is only
+// done when the document parses fully.
 
-// unmarshalFast parses data; ok=false means "not handled, use fallback".
+// unmarshalFast parses data; ok=false means "not a message document".
 func unmarshalFast(data []byte) (*Message, bool) {
+	if !xmlChars(data) {
+		return nil, false
+	}
 	p := &fastParser{s: data}
 	p.space()
 	if !p.lit("<message") {
 		return nil, false
 	}
 	m := &Message{}
-	// Attributes.
+	// Attributes, each preceded by whitespace.
 	for {
-		p.space()
+		spaced := p.space()
 		if p.lit("/>") {
 			p.space()
 			if p.pos != len(p.s) {
@@ -38,6 +43,9 @@ func unmarshalFast(data []byte) (*Message, bool) {
 		}
 		if p.lit(">") {
 			break
+		}
+		if !spaced {
+			return nil, false
 		}
 		name, ok := p.attrName()
 		if !ok {
@@ -73,7 +81,7 @@ func unmarshalFast(data []byte) (*Message, bool) {
 		case "replyTo":
 			m.ReplyTo = val
 		default:
-			return nil, false // unknown attribute: let encoding/xml decide
+			return nil, false // unknown attribute: not a message document
 		}
 	}
 	// Children.
@@ -96,7 +104,9 @@ func unmarshalFast(data []byte) (*Message, bool) {
 		case p.lit("<error/>"):
 			// empty error element: nothing to record
 		case p.lit("<var"):
-			p.space()
+			if !p.space() {
+				return nil, false
+			}
 			name, ok := p.attrName()
 			if !ok || name != "name" {
 				return nil, false
@@ -133,16 +143,18 @@ type fastParser struct {
 	pos int
 }
 
-// space skips XML whitespace.
-func (p *fastParser) space() {
+// space skips XML whitespace and reports whether there was any.
+func (p *fastParser) space() bool {
+	start := p.pos
 	for p.pos < len(p.s) {
 		switch p.s[p.pos] {
 		case ' ', '\t', '\n', '\r':
 			p.pos++
 		default:
-			return
+			return p.pos > start
 		}
 	}
+	return p.pos > start
 }
 
 // lit consumes the literal if it is next.
@@ -217,6 +229,38 @@ func (p *fastParser) textUntil(closing string) (string, bool) {
 	return "", false
 }
 
+// xmlChars reports whether data is valid UTF-8 made only of characters
+// XML allows, with no raw carriage return: XML parsers rewrite those to
+// line feeds, and Marshal escapes every one it writes.
+func xmlChars(data []byte) bool {
+	i := 0
+	// Eight bytes at a time while all are printable ASCII: no byte has its
+	// high bit set and none is below 0x20 (subtracting 0x20 from such a
+	// byte sets its high bit; a borrow only ever adds false alarms, which
+	// the byte loop below then settles).
+	for ; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		if (w|(w-0x2020202020202020))&0x8080808080808080 != 0 {
+			break
+		}
+	}
+	for i < len(data) {
+		if c := data[i]; c < utf8.RuneSelf {
+			if c < 0x20 && c != '\t' && c != '\n' {
+				return false
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRune(data[i:])
+		if r == utf8.RuneError && w == 1 || !validXMLChar(r) {
+			return false
+		}
+		i += w
+	}
+	return true
+}
+
 // validXMLChar reports whether r is a character XML 1.0 allows (the
 // same set encoding/xml accepts in character references).
 func validXMLChar(r rune) bool {
@@ -285,8 +329,8 @@ func xmlUnescape(raw []byte) (string, bool) {
 			}
 			if err != nil || !validXMLChar(rune(n)) {
 				// Invalid XML character reference (NUL, surrogate,
-				// out-of-range): decline so the encoding/xml fallback
-				// rejects the document instead of us guessing.
+				// out-of-range): decline, so the document is rejected
+				// instead of us guessing.
 				return "", false
 			}
 			sb.WriteRune(rune(n))

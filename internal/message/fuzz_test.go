@@ -5,6 +5,8 @@ package message
 // panic, never over-allocate on corrupt headers, and for every payload
 // that DOES decode, re-encoding the decoded messages round-trips to the
 // same values (the decoder never fabricates state it cannot represent).
+// FuzzUnmarshal also holds every accepted document to the encoding/xml
+// oracle: the oracle must accept it and decode the same message.
 //
 // Seeds cover both payload kinds the decoders must handle: legacy
 // single-document XML frames (still what Send emits) and v2
@@ -77,6 +79,15 @@ func FuzzUnmarshal(f *testing.F) {
 		m, err := Unmarshal(data)
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
+		}
+		// Whatever the production decoder accepts, the encoding/xml
+		// oracle must accept and decode to the same message.
+		ref, err := unmarshalXML(data)
+		if err != nil {
+			t.Fatalf("Unmarshal accepted a document the oracle rejects: %v\n%q", err, data)
+		}
+		if !reflect.DeepEqual(normalize(m), normalize(ref)) {
+			t.Fatalf("Unmarshal disagrees with the oracle:\n got: %+v\nwant: %+v\ndoc: %q", m, ref, data)
 		}
 		// Accepted payloads must round-trip by value.
 		re, err := Marshal(m)

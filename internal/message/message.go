@@ -7,11 +7,11 @@ package message
 
 import (
 	"bytes"
-	"encoding/xml"
 	"fmt"
 	"sort"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // Type discriminates control documents.
@@ -102,26 +102,6 @@ func (m *Message) String() string {
 	return fmt.Sprintf("%s %s/%s %s->%s vars=%d", m.Type, m.Composite, m.Instance, m.From, m.To, len(m.Vars))
 }
 
-// xmlMessage is the wire representation.
-type xmlMessage struct {
-	XMLName   xml.Name `xml:"message"`
-	Type      string   `xml:"type,attr"`
-	Composite string   `xml:"composite,attr,omitempty"`
-	Instance  string   `xml:"instance,attr,omitempty"`
-	From      string   `xml:"from,attr,omitempty"`
-	To        string   `xml:"to,attr,omitempty"`
-	Seq       int      `xml:"seq,attr,omitempty"`
-	Version   uint64   `xml:"version,attr,omitempty"`
-	ReplyTo   string   `xml:"replyTo,attr,omitempty"`
-	Error     string   `xml:"error,omitempty"`
-	Vars      []xmlVar `xml:"var"`
-}
-
-type xmlVar struct {
-	Name  string `xml:"name,attr"`
-	Value string `xml:",chardata"`
-}
-
 // marshalBufPool recycles encode buffers across Marshal calls: every
 // notification on every transport serializes through here, so the buffer
 // (and its grown backing array) is the dominant per-message allocation.
@@ -134,7 +114,7 @@ var marshalBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // The encoder is hand-rolled for this package's small fixed vocabulary —
 // the reflection-based encoding/xml encoder accounted for most of the
 // per-notification allocation cost. The wire format is unchanged;
-// marshalXML remains in the package as the differential-test reference.
+// oracle_test.go keeps that encoder as the differential-test reference.
 func Marshal(m *Message) ([]byte, error) {
 	buf := marshalBufPool.Get().(*bytes.Buffer)
 	defer marshalBufPool.Put(buf)
@@ -202,13 +182,16 @@ func writeAttr(buf *bytes.Buffer, prefix, value string) {
 	buf.WriteByte('"')
 }
 
-// xmlEscape writes s with the same byte-level escaping xml.EscapeText
-// applies, so hand-encoded documents stay readable by any XML parser.
+// xmlEscape writes s with the escaping xml.EscapeText applies, so
+// hand-encoded documents stay readable by any XML parser: markup and
+// whitespace control characters become references, and invalid UTF-8 or
+// characters XML forbids become U+FFFD.
 func xmlEscape(buf *bytes.Buffer, s string) {
 	last := 0
-	for i := 0; i < len(s); i++ {
+	for i := 0; i < len(s); {
+		c, width := s[i], 1
 		var esc string
-		switch s[i] {
+		switch c {
 		case '&':
 			esc = "&amp;"
 		case '<':
@@ -226,90 +209,40 @@ func xmlEscape(buf *bytes.Buffer, s string) {
 		case '\r':
 			esc = "&#xD;"
 		default:
-			continue
+			if c >= 0x20 && c < utf8.RuneSelf {
+				i++
+				continue
+			}
+			if c >= utf8.RuneSelf {
+				var r rune
+				r, width = utf8.DecodeRuneInString(s[i:])
+				if validXMLChar(r) && !(r == utf8.RuneError && width == 1) {
+					i += width
+					continue
+				}
+			}
+			esc = "\uFFFD"
 		}
 		buf.WriteString(s[last:i])
 		buf.WriteString(esc)
-		last = i + 1
+		i += width
+		last = i
 	}
 	buf.WriteString(s[last:])
 }
 
-// marshalXML is the reflection-based reference encoder (the original
-// implementation). Kept for differential tests: Marshal's output must
-// decode to the same Message as marshalXML's.
-func marshalXML(m *Message) ([]byte, error) {
-	doc := xmlMessage{
-		Type:      string(m.Type),
-		Composite: m.Composite,
-		Instance:  m.Instance,
-		From:      m.From,
-		To:        m.To,
-		Seq:       m.Seq,
-		Version:   m.Version,
-		ReplyTo:   m.ReplyTo,
-		Error:     m.Error,
-	}
-	if len(m.Vars) > 0 {
-		names := make([]string, 0, len(m.Vars))
-		for k := range m.Vars {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		doc.Vars = make([]xmlVar, 0, len(names))
-		for _, k := range names {
-			doc.Vars = append(doc.Vars, xmlVar{Name: k, Value: m.Vars[k]})
-		}
-	}
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	if err := enc.Encode(doc); err != nil {
-		return nil, fmt.Errorf("message: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes an XML document produced by Marshal. It first runs a
-// hand-rolled parser specialized to the message vocabulary (the common
-// case: every control message on every transport); documents it cannot
-// handle — processing instructions, comments, CDATA, foreign elements —
-// fall back to the general encoding/xml decoder.
+// Unmarshal decodes an XML document produced by Marshal, with a
+// hand-rolled parser specialized to the message vocabulary. Documents
+// outside that vocabulary — XML declarations, processing instructions,
+// comments, CDATA, foreign elements or attributes — are rejected: no
+// peer of this system emits them.
 func Unmarshal(data []byte) (*Message, error) {
-	if m, ok := unmarshalFast(data); ok {
-		if m.Type == "" {
-			return nil, fmt.Errorf("message: document has no type attribute")
-		}
-		return m, nil
+	m, ok := unmarshalFast(data)
+	if !ok {
+		return nil, fmt.Errorf("message: unmarshal: not a message document")
 	}
-	return unmarshalXML(data)
-}
-
-// unmarshalXML is the reflection-based reference decoder (the original
-// implementation and the fallback for documents the fast path declines).
-func unmarshalXML(data []byte) (*Message, error) {
-	var doc xmlMessage
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("message: unmarshal: %w", err)
-	}
-	if doc.Type == "" {
+	if m.Type == "" {
 		return nil, fmt.Errorf("message: document has no type attribute")
-	}
-	m := &Message{
-		Type:      Type(doc.Type),
-		Composite: doc.Composite,
-		Instance:  doc.Instance,
-		From:      doc.From,
-		To:        doc.To,
-		Seq:       doc.Seq,
-		Version:   doc.Version,
-		ReplyTo:   doc.ReplyTo,
-		Error:     doc.Error,
-	}
-	if len(doc.Vars) > 0 {
-		m.Vars = make(map[string]string, len(doc.Vars))
-		for _, v := range doc.Vars {
-			m.Vars[v.Name] = v.Value
-		}
 	}
 	return m, nil
 }

@@ -149,16 +149,6 @@ func UnmarshalTable(data []byte) (*Table, error) {
 	return fromXMLTable(doc), nil
 }
 
-// WritePlan writes the XML encoding of p to w.
-func WritePlan(w io.Writer, p *Plan) error {
-	data, err := MarshalPlan(p)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 // ReadPlan decodes a plan document from r.
 func ReadPlan(r io.Reader) (*Plan, error) {
 	data, err := io.ReadAll(r)

@@ -557,6 +557,14 @@ func TestTCPNoReorderAcrossReconnect(t *testing.T) {
 	const total = 60
 	for i := 0; i < total; i++ {
 		if i == 20 {
+			// Cut only once frames 0–19 have reached the peer: until the
+			// writer has dialed and written, a cut severs nothing and no
+			// reconnect is forced.
+			waitFor(t, func() bool {
+				peer.mu.Lock()
+				defer peer.mu.Unlock()
+				return len(peer.got) > 0 && peer.got[len(peer.got)-1].Seq == 19
+			}, "frame 19 before the cut")
 			peer.cut()
 		}
 		if i == 40 {

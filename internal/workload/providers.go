@@ -62,7 +62,7 @@ func RegisterTravelCommunityWith(reg *service.Registry, opts service.SimulatedOp
 func RegisterChainProviders(reg *service.Registry, n int, opts service.SimulatedOptions) {
 	for i := 1; i <= n; i++ {
 		s := service.NewSimulated(fmt.Sprintf("svc%d", i), opts)
-		s.Handle("run", incrementX)
+		s.Handle("run", IncrementX)
 		reg.Register(s)
 	}
 }
@@ -90,12 +90,14 @@ func RegisterParallelProviders(reg *service.Registry, k int, opts service.Simula
 func RegisterIncrementProviders(reg *service.Registry, sc *statechart.Statechart, opts service.SimulatedOptions) {
 	for _, name := range sc.Services() {
 		s := service.NewSimulated(name, opts)
-		s.Handle("run", incrementX)
+		s.Handle("run", IncrementX)
 		reg.Register(s)
 	}
 }
 
-func incrementX(_ context.Context, p map[string]string) (map[string]string, error) {
+// IncrementX is the chain step every increment provider runs: it returns
+// x+1 for a numeric input x.
+func IncrementX(_ context.Context, p map[string]string) (map[string]string, error) {
 	x, err := strconv.ParseFloat(p["x"], 64)
 	if err != nil {
 		return nil, fmt.Errorf("bad x %q: %w", p["x"], err)
