@@ -92,10 +92,11 @@ cover: ## coverage floor on the concurrency- and availability-critical packages
 FUZZTIME ?= 30s
 
 .PHONY: fuzz
-fuzz: ## short fuzz pass over the wire decoders and the frame merge
+fuzz: ## short fuzz pass over the wire decoders, the frame merge and the journal record decoder
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzUnmarshalBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/message -run '^$$' -fuzz 'FuzzMergeBatch$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/journal -run '^$$' -fuzz 'FuzzRecordDecode$$' -fuzztime $(FUZZTIME)
 
 .PHONY: flake
 flake: ## liveness/flake hunt: the concurrent packages, race detector, 10 loops

@@ -7,7 +7,8 @@
 // notification arrival, a completed provider invocation, a firing
 // round's bag delta and outbound messages, or a full bag snapshot
 // (periodic, or terminal-for-now when the instance passivates). Records
-// are framed [length|crc32|json] and sharded by (composite, instance),
+// are framed [length|crc32|payload], the payload in the binary codec of
+// codec.go, and sharded by (composite, instance),
 // so every record of an instance lands in one shard file sequence and
 // the shard's append mutex makes file order equal commit order for that
 // instance. Recovery replays shards independently (engine.Recover);
@@ -21,9 +22,10 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,7 +55,7 @@ const (
 	// restarts from the newest one, and compaction drops what precedes it.
 	KindSnapshot = "snapshot"
 	// KindPassivate is a snapshot that also REMOVES the instance from
-	// RAM: the journal's passive index keeps (file, offset), and the
+	// RAM: the journal's passive index keeps (segment, offset), and the
 	// instance rehydrates from it on its next frame.
 	KindPassivate = "passivate"
 	// KindWStart is a wrapper execution admitted: the request inputs.
@@ -70,52 +72,52 @@ const (
 // peer (a state ID or the wrapper ID), never a transport address:
 // addresses change across restarts and are re-resolved at redelivery.
 type OutMsg struct {
-	Type string            `json:"type"`
-	To   string            `json:"to"`
-	Seq  uint64            `json:"seq,omitempty"`
-	Vars map[string]string `json:"vars,omitempty"`
+	Type string
+	To   string
+	Seq  uint64
+	Vars map[string]string
 }
 
-// Record is one journal entry. One flat struct covers every kind; the
-// unused fields of a kind are omitted from the JSON.
+// Record is one journal entry. One flat struct covers every kind; a
+// kind leaves the fields it does not use zero.
 type Record struct {
-	Kind      string `json:"k"`
-	Composite string `json:"c"`
-	Instance  string `json:"i"`
-	State     string `json:"s,omitempty"`
-	Version   uint64 `json:"v,omitempty"`
+	Kind      string
+	Composite string
+	Instance  string
+	State     string
+	Version   uint64
 	// Time is Options.Now at append, unix nanoseconds. Observability
 	// only: nothing in replay or compaction reads it.
-	Time int64 `json:"t,omitempty"`
+	Time int64
 
 	// Arrival fields (also WArrival: Src + Seq + Vars + Error).
-	Src string `json:"src,omitempty"`
-	Seq uint64 `json:"seq,omitempty"`
+	Src string
+	Seq uint64
 	// Vars is the arrival's payload, the round's base-layer delta, the
 	// snapshot's base layer, or the wstart's inputs — the "main bag" of
 	// each kind.
-	Vars map[string]string `json:"vars,omitempty"`
+	Vars map[string]string
 
 	// Invoke fields.
-	Service string            `json:"svc,omitempty"`
-	Key     string            `json:"key,omitempty"`
-	Outputs map[string]string `json:"out,omitempty"`
+	Service string
+	Key     string
+	Outputs map[string]string
 
 	// Round fields.
-	FireSeq  uint64   `json:"fire,omitempty"`
-	Consumed []string `json:"cons,omitempty"` // source counters decremented
-	Cleared  []string `json:"clr,omitempty"`  // source bags absorbed into base
-	SendSeq  uint64   `json:"send,omitempty"` // high-water after stamping Msgs
-	Msgs     []OutMsg `json:"msgs,omitempty"`
+	FireSeq  uint64
+	Consumed []string // source counters decremented
+	Cleared  []string // source bags absorbed into base
+	SendSeq  uint64   // high-water after stamping Msgs
+	Msgs     []OutMsg
 
 	// Snapshot/passivate fields (Vars carries the base layer).
-	Counts   map[string]uint32            `json:"cnt,omitempty"`
-	SrcVars  map[string]map[string]string `json:"bags,omitempty"`
-	LastSeen map[string]uint64            `json:"seen,omitempty"`
+	Counts   map[string]uint32
+	SrcVars  map[string]map[string]string
+	LastSeen map[string]uint64
 
 	// Error carries a fault's text (WArrival of a TypeFault, WDone of a
 	// failed execution).
-	Error string `json:"err,omitempty"`
+	Error string
 }
 
 // FsyncMode selects the durability/throughput trade of Append.
@@ -174,7 +176,8 @@ type Options struct {
 	// knob; the engine's commit points act on it.
 	SnapshotEvery int
 	// SegmentMaxBytes rotates a shard's segment beyond this size
-	// (default 4 MiB).
+	// (default 4 MiB, at most 4 GiB: the passive index packs offsets
+	// into 32 bits).
 	SegmentMaxBytes int64
 	// Shards is the number of independent append streams (default 8).
 	// Fixed at first Open of a directory: reopening with a different
@@ -184,12 +187,20 @@ type Options struct {
 	Now func() time.Time
 }
 
-// passiveLoc locates a passivated instance's record on disk. Only the
+// passiveKey groups the passive index by coordinator: one inner map per
+// (composite, state), keyed by instance. The struct key lets Append
+// probe the index without building a string.
+type passiveKey struct{ composite, state string }
+
+// packLoc packs a record's location, segment number << 32 | offset,
+// into the one word the passive index stores per instance. Only the
 // location lives in RAM — the bag stays in the segment file, which is
 // the entire point of passivation.
-type passiveLoc struct {
-	file string
-	off  int64
+func packLoc(seg uint64, off int64) (uint64, error) {
+	if seg > math.MaxUint32 || off < 0 || off > math.MaxUint32 {
+		return 0, fmt.Errorf("journal: location segment %d offset %d does not pack into 64 bits", seg, off)
+	}
+	return seg<<32 | uint64(off), nil
 }
 
 // shard is one independent append stream: a directory of numbered
@@ -199,14 +210,17 @@ type shard struct {
 	mu       sync.Mutex // lockorder:journal — leaf; taken under engine instance locks, never above any other repo mutex
 	dir      string
 	seg      *os.File // open segment (lazily created on first append)
-	segPath  string
+	segNo    uint64   // number of the open segment
 	segSize  int64
 	nextSeg  uint64
 	unsynced int
-	// passive maps composite\x00state\x00instance to the location of its
-	// KindPassivate record. Guarded by mu (the index slice is shard-local
-	// because records shard by (composite, instance)).
-	passive map[string]passiveLoc
+	closed   bool // set by Close: later writes fail instead of starting a segment
+	// passive maps (composite, state) and instance to the packed
+	// location (packLoc) of the instance's KindPassivate record. Guarded
+	// by mu (the index slice is shard-local because records shard by
+	// (composite, instance)). Empty inner maps stay: there is one per
+	// coordinator, not per instance.
+	passive map[passiveKey]map[string]uint64
 	// existing are the segment paths found at Open, oldest first; appends
 	// go to a fresh segment so a torn tail is never appended after.
 	existing []string
@@ -237,7 +251,9 @@ type Stats struct {
 // tail (a crash mid-append) by truncating the last segment of each
 // shard to its last whole record. Corruption anywhere BUT a last
 // segment's tail is an error — that is real damage, not a crash
-// artifact.
+// artifact — and so, anywhere, is a CRC-valid record that does not
+// decode: a journal in another record format (v1 JSON) fails Open and
+// is left untouched.
 func Open(opts Options) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("journal: empty directory")
@@ -253,6 +269,9 @@ func Open(opts Options) (*Journal, error) {
 	}
 	if opts.SegmentMaxBytes <= 0 {
 		opts.SegmentMaxBytes = 4 << 20
+	}
+	if opts.SegmentMaxBytes > math.MaxUint32+1 {
+		return nil, fmt.Errorf("journal: segment size %d over the 4 GiB limit", opts.SegmentMaxBytes)
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = 8
@@ -277,7 +296,7 @@ func Open(opts Options) (*Journal, error) {
 	for i := range j.shards {
 		s := &shard{
 			dir:     filepath.Join(opts.Dir, fmt.Sprintf("shard-%02d", i)),
-			passive: map[string]passiveLoc{},
+			passive: map[passiveKey]map[string]uint64{},
 		}
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
@@ -296,11 +315,6 @@ func (j *Journal) SnapshotEvery() int { return j.opts.SnapshotEvery }
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.opts.Dir }
 
-// passiveKey names an instance's slot in the passive index.
-func passiveKey(composite, state, instance string) string {
-	return composite + "\x00" + state + "\x00" + instance
-}
-
 // shardFor hashes (composite, instance) onto a shard — state is NOT
 // part of the key, so every coordinator's records for one instance
 // (and the wrapper's) serialize through one stream.
@@ -316,32 +330,52 @@ func (j *Journal) shardFor(composite, instance string) *shard {
 	return j.shards[h%uint32(len(j.shards))]
 }
 
+// framePool recycles Append's frame buffers. A buffer that grew past
+// maxPooledFrame (a large snapshot) is dropped instead of pinned.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+const maxPooledFrame = 64 << 10
+
 // Append writes r durably (per the fsync mode) and returns when it is
-// committed. The caller's instance lock orders the records of one
-// instance; the shard mutex orders the file.
+// committed. The record is encoded outside the shard lock into a pooled
+// buffer that already holds its frame header, and lands with one write.
+// The caller's instance lock orders the records of one instance; the
+// shard mutex orders the file.
 func (j *Journal) Append(r *Record) error {
 	r.Time = j.opts.Now().UnixNano()
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
+	bp := framePool.Get().(*[]byte)
+	frame, err := appendRecord((*bp)[:frameHeader], r)
+	if err == nil {
+		err = sealFrame(frame)
 	}
-	s := j.shardFor(r.Composite, r.Instance)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	off, err := s.append(buf, j.opts)
+	if err == nil {
+		s := j.shardFor(r.Composite, r.Instance)
+		s.mu.Lock()
+		err = s.commit(j, frame, r)
+		s.mu.Unlock()
+	}
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame
+		framePool.Put(bp)
+	}
+	return err
+}
+
+// commit writes one sealed frame, indexes its record, and syncs per the
+// fsync mode. Caller holds s.mu.
+func (s *shard) commit(j *Journal, frame []byte, r *Record) error {
+	off, err := s.write(frame, j.opts)
 	if err != nil {
 		return err
 	}
-	key := passiveKey(r.Composite, r.State, r.Instance)
-	if r.Kind == KindPassivate {
-		s.passive[key] = passiveLoc{file: s.segPath, off: off}
-	} else {
-		// Any later record for the key means the instance is live again;
-		// Open's scan applies the same rule when rebuilding the index.
-		delete(s.passive, key)
+	if err := s.index(r, s.segNo, off); err != nil {
+		return err
 	}
 	j.appends.Add(1)
-	j.bytes.Add(uint64(len(buf) + frameHeader))
+	j.bytes.Add(uint64(len(frame)))
 	if s.unsynced > 0 && (j.opts.Fsync == FsyncAlways || (j.opts.Fsync == FsyncBatch && s.unsynced >= j.opts.FsyncEvery)) {
 		if err := s.seg.Sync(); err != nil {
 			return fmt.Errorf("journal: sync: %w", err)
@@ -352,23 +386,48 @@ func (j *Journal) Append(r *Record) error {
 	return nil
 }
 
+// index applies r, found at (seg, off), to the passive index: a
+// passivation record enters it, and any other record for the same
+// (composite, state, instance) means the instance is live again. Open's
+// scan, Append and Compact all apply this one rule. Caller holds s.mu.
+func (s *shard) index(r *Record, seg uint64, off int64) error {
+	key := passiveKey{r.Composite, r.State}
+	if r.Kind != KindPassivate {
+		delete(s.passive[key], r.Instance)
+		return nil
+	}
+	loc, err := packLoc(seg, off)
+	if err != nil {
+		return err
+	}
+	m := s.passive[key]
+	if m == nil {
+		// Clone the keys: a decoded record's strings share one buffer
+		// with its whole payload, which the index must not pin.
+		m = map[string]uint64{}
+		s.passive[passiveKey{strings.Clone(r.Composite), strings.Clone(r.State)}] = m
+	}
+	m[strings.Clone(r.Instance)] = loc
+	return nil
+}
+
 // TakePassive removes an instance from the passive index and returns
 // its passivation record — the rehydration path. ok is false when the
 // instance is not passivated here.
 func (j *Journal) TakePassive(composite, state, instance string) (*Record, bool, error) {
 	s := j.shardFor(composite, instance)
-	key := passiveKey(composite, state, instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	loc, ok := s.passive[key]
+	m := s.passive[passiveKey{composite, state}]
+	loc, ok := m[instance]
 	if !ok {
 		return nil, false, nil
 	}
-	r, err := readRecordAt(loc.file, loc.off)
+	r, err := readRecordAt(s.segPath(loc>>32), int64(loc&math.MaxUint32))
 	if err != nil {
 		return nil, false, fmt.Errorf("journal: rehydrate %s/%s/%s: %w", composite, state, instance, err)
 	}
-	delete(s.passive, key)
+	delete(m, instance)
 	return r, true, nil
 }
 
@@ -377,7 +436,7 @@ func (j *Journal) IsPassive(composite, state, instance string) bool {
 	s := j.shardFor(composite, instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.passive[passiveKey(composite, state, instance)]
+	_, ok := s.passive[passiveKey{composite, state}][instance]
 	return ok
 }
 
@@ -425,7 +484,9 @@ func (j *Journal) Stats() Stats {
 	}
 	for _, s := range j.shards {
 		s.mu.Lock()
-		st.Passive += len(s.passive)
+		for _, m := range s.passive {
+			st.Passive += len(m)
+		}
 		st.Segments += len(s.existing)
 		if s.seg != nil {
 			st.Segments++
@@ -435,21 +496,19 @@ func (j *Journal) Stats() Stats {
 	return st
 }
 
-// Close syncs and closes every open segment.
+// Close syncs and closes every open segment. Appends after Close fail:
+// a closed journal never starts a segment, so a straggling goroutine of
+// a shut-down (or killed) fabric cannot write into a directory a new
+// process has opened.
 func (j *Journal) Close() error {
 	var first error
 	for _, s := range j.shards {
 		s.mu.Lock()
+		s.closed = true
 		if s.seg != nil {
-			if s.unsynced > 0 && j.opts.Fsync != FsyncOff {
-				if err := s.seg.Sync(); err != nil && first == nil {
-					first = err
-				}
-			}
-			if err := s.seg.Close(); err != nil && first == nil {
+			if err := s.closeSeg(j.opts); err != nil && first == nil {
 				first = err
 			}
-			s.seg = nil
 		}
 		s.mu.Unlock()
 	}
@@ -464,120 +523,153 @@ const frameHeader = 8
 // corrupt length word can't ask for a gigabyte allocation.
 const maxRecordBytes = 16 << 20
 
-// append writes one framed payload to the shard's open segment,
-// rotating first when over the size limit. Returns the record's offset
-// in the (possibly fresh) segment. Caller holds s.mu.
-func (s *shard) append(payload []byte, opts Options) (int64, error) {
+// errTorn marks framing damage — a bad length word, a short frame, a
+// CRC mismatch — which is what a crash mid-append leaves behind. Only
+// errTorn on a shard's last segment is repaired by truncation; a frame
+// whose CRC matches but whose payload does not decode is real damage
+// (or a journal in another record format) and fails Open.
+var errTorn = errors.New("torn frame")
+
+// errClosed is what writes to a closed journal return.
+var errClosed = errors.New("journal: closed")
+
+// sealFrame fills in the header of frame, whose payload follows
+// frameHeader reserved bytes.
+func sealFrame(frame []byte) error {
+	payload := frame[frameHeader:]
+	if len(payload) > maxRecordBytes {
+		return fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return nil
+}
+
+// write lands one sealed frame on the shard's open segment with a
+// single write, rotating first when over the size limit. Returns the
+// frame's offset in the (possibly fresh) segment. Caller holds s.mu.
+func (s *shard) write(frame []byte, opts Options) (int64, error) {
+	if s.closed {
+		return 0, errClosed
+	}
 	if s.seg == nil || s.segSize >= opts.SegmentMaxBytes {
 		if err := s.rotate(opts); err != nil {
 			return 0, err
 		}
 	}
 	off := s.segSize
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := s.seg.Write(hdr[:]); err != nil {
+	if _, err := s.seg.Write(frame); err != nil {
 		return 0, fmt.Errorf("journal: append: %w", err)
 	}
-	if _, err := s.seg.Write(payload); err != nil {
-		return 0, fmt.Errorf("journal: append: %w", err)
-	}
-	s.segSize += int64(frameHeader + len(payload))
+	s.segSize += int64(len(frame))
 	s.unsynced++
 	return off, nil
+}
+
+// segPath names segment n of the shard.
+func (s *shard) segPath(n uint64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("seg-%08d.wal", n))
 }
 
 // rotate closes the open segment (if any) and starts the next one.
 // Caller holds s.mu.
 func (s *shard) rotate(opts Options) error {
 	if s.seg != nil {
-		if s.unsynced > 0 && opts.Fsync != FsyncOff {
-			if err := s.seg.Sync(); err != nil {
-				return fmt.Errorf("journal: rotate: %w", err)
-			}
-			s.unsynced = 0
-		}
-		if err := s.seg.Close(); err != nil {
+		s.existing = append(s.existing, s.segPath(s.segNo))
+		if err := s.closeSeg(opts); err != nil {
 			return fmt.Errorf("journal: rotate: %w", err)
 		}
-		s.existing = append(s.existing, s.segPath)
-		s.seg = nil
 	}
-	path := filepath.Join(s.dir, fmt.Sprintf("seg-%08d.wal", s.nextSeg))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if s.nextSeg > math.MaxUint32 {
+		return fmt.Errorf("journal: rotate: shard %s is out of segment numbers", s.dir)
+	}
+	f, err := os.OpenFile(s.segPath(s.nextSeg), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
-	s.nextSeg++
 	s.seg = f
-	s.segPath = path
+	s.segNo = s.nextSeg
+	s.nextSeg++
 	s.segSize = 0
 	return nil
 }
 
+// closeSeg syncs (unless fsync is off) and closes the open segment,
+// closing it even when the sync fails. Caller holds s.mu.
+func (s *shard) closeSeg(opts Options) error {
+	var err error
+	if s.unsynced > 0 && opts.Fsync != FsyncOff {
+		err = s.seg.Sync()
+	}
+	if cerr := s.seg.Close(); err == nil {
+		err = cerr
+	}
+	s.seg = nil
+	s.unsynced = 0
+	return err
+}
+
 // scan walks the shard's existing segments oldest-first: validates
-// frames, rebuilds the passive index, truncates a torn tail on the LAST
-// segment (crash artifact), and errors on damage anywhere else. Appends
-// after scan go to a fresh segment.
+// frames and records, rebuilds the passive index, truncates a torn tail
+// on the LAST segment (crash artifact), and errors on damage anywhere
+// else and on any record that does not decode. Appends after scan go to
+// a fresh segment.
 func (s *shard) scan() error {
 	segs, err := filepath.Glob(filepath.Join(s.dir, "seg-*.wal"))
 	if err != nil {
 		return fmt.Errorf("journal: scan: %w", err)
 	}
+	// Segment names are zero-padded so the lexical sort is the numeric
+	// order; nextSeg must clear the highest seen.
 	sort.Strings(segs)
 	s.existing = segs
-	for _, path := range segs {
-		// Segment names are zero-padded so the lexical sort above is the
-		// numeric order; nextSeg must clear the highest seen.
+	for i, path := range segs {
+		// The passive index stores segment numbers and rebuilds paths
+		// from them, so a name must round-trip through segPath.
 		var n uint64
-		base := filepath.Base(path)
-		if _, err := fmt.Sscanf(base, "seg-%d.wal", &n); err == nil && n >= s.nextSeg {
+		if _, err := fmt.Sscanf(filepath.Base(path), "seg-%d.wal", &n); err != nil || s.segPath(n) != path {
+			return fmt.Errorf("journal: segment %s: bad name", path)
+		}
+		if n >= s.nextSeg {
 			s.nextSeg = n + 1
 		}
-	}
-	for i, path := range segs {
-		last := i == len(segs)-1
-		validLen, err := s.scanSegment(path)
-		if err != nil {
-			if !last {
-				return fmt.Errorf("journal: segment %s: %w (not the shard tail — real corruption, not a torn append)", path, err)
-			}
-			// Torn tail from a crash mid-append: repair by truncating to
-			// the last whole record so later scans see a clean file.
-			if terr := os.Truncate(path, validLen); terr != nil {
-				return fmt.Errorf("journal: truncate torn tail of %s: %w", path, terr)
-			}
+		validLen, err := walkSegment(path, func(off int64, r *Record, _ []byte) error {
+			return s.index(r, n, off)
+		})
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, errTorn) {
+			return fmt.Errorf("journal: segment %s: %w", path, err)
+		}
+		if i != len(segs)-1 {
+			return fmt.Errorf("journal: segment %s: %w (not the shard tail — real corruption, not a torn append)", path, err)
+		}
+		// Torn tail from a crash mid-append: repair by truncating to the
+		// last whole record so later scans see a clean file.
+		if terr := os.Truncate(path, validLen); terr != nil {
+			return fmt.Errorf("journal: truncate torn tail of %s: %w", path, terr)
 		}
 	}
 	return nil
 }
 
-// scanSegment validates one segment, applying its records to the
-// passive index. Returns the length of the valid prefix and an error
-// describing the first bad frame (nil when the file is whole).
-func (s *shard) scanSegment(path string) (int64, error) {
-	return walkSegment(path, func(off int64, r *Record) error {
-		key := passiveKey(r.Composite, r.State, r.Instance)
-		if r.Kind == KindPassivate {
-			s.passive[key] = passiveLoc{file: path, off: off}
-		} else {
-			delete(s.passive, key)
-		}
-		return nil
-	})
+// segments lists every segment path, oldest first, including the open
+// one. Caller holds s.mu.
+func (s *shard) segments() []string {
+	segs := append([]string(nil), s.existing...)
+	if s.seg != nil {
+		segs = append(segs, s.segPath(s.segNo))
+	}
+	return segs
 }
 
 // replay streams the shard's records in order. The open (currently
 // appended) segment is read via its path — the write fd's offset is
 // untouched. Caller holds s.mu.
 func (s *shard) replay(fn func(*Record) error) error {
-	segs := append([]string(nil), s.existing...)
-	if s.seg != nil {
-		segs = append(segs, s.segPath)
-	}
-	for _, path := range segs {
-		_, err := walkSegment(path, func(_ int64, r *Record) error { return fn(r) })
+	for _, path := range s.segments() {
+		_, err := walkSegment(path, func(_ int64, r *Record, _ []byte) error { return fn(r) })
 		if err != nil {
 			return fmt.Errorf("journal: replay %s: %w", path, err)
 		}
@@ -589,17 +681,19 @@ func (s *shard) replay(fn func(*Record) error) error {
 func (s *shard) compact(opts Options) error {
 	// Pass 1: find finished instances and each key's newest snapshot
 	// position (counting records per key so pass 2 can cut precisely).
+	type instKey struct{ composite, instance string }
+	type stateKey struct{ composite, state, instance string }
 	type cursor struct {
 		n        int // records seen for this key
 		snapshot int // 1-based index of the newest snapshot/passivate; 0 = none
 	}
-	doneInst := map[string]bool{} // composite\x00instance
-	cursors := map[string]*cursor{}
+	done := map[instKey]bool{}
+	cursors := map[stateKey]*cursor{}
 	collect := func(r *Record) error {
 		if r.Kind == KindWDone {
-			doneInst[r.Composite+"\x00"+r.Instance] = true
+			done[instKey{r.Composite, r.Instance}] = true
 		}
-		key := passiveKey(r.Composite, r.State, r.Instance)
+		key := stateKey{r.Composite, r.State, r.Instance}
 		c := cursors[key]
 		if c == nil {
 			c = &cursor{}
@@ -615,51 +709,39 @@ func (s *shard) compact(opts Options) error {
 		return err
 	}
 
-	// Pass 2: stream the keepers into fresh segments. The old segments
+	// Pass 2: copy the keepers' frames, unchanged, into fresh segments
+	// through the same single-write path as Append. The old segments
 	// are removed only after the new ones are synced, so a crash during
 	// compaction leaves either the old history or the new — never
 	// neither. (A crash in between can leave BOTH; the keepers replay
 	// twice, which recovery tolerates: arrivals dedup, rounds re-apply
 	// onto snapshots idempotently.)
-	old := append([]string(nil), s.existing...)
+	old := s.segments()
 	if s.seg != nil {
-		if s.unsynced > 0 && opts.Fsync != FsyncOff {
-			if err := s.seg.Sync(); err != nil {
-				return err
-			}
-			s.unsynced = 0
-		}
-		if err := s.seg.Close(); err != nil {
+		if err := s.closeSeg(opts); err != nil {
 			return err
 		}
-		old = append(old, s.segPath)
-		s.seg = nil
 	}
 	s.existing = nil
-	s.passive = map[string]passiveLoc{}
-	seen := map[string]int{}
-	keep := func(_ int64, r *Record, raw []byte) error {
-		if doneInst[r.Composite+"\x00"+r.Instance] {
+	s.passive = map[passiveKey]map[string]uint64{}
+	seen := map[stateKey]int{}
+	keep := func(_ int64, r *Record, frame []byte) error {
+		if done[instKey{r.Composite, r.Instance}] {
 			return nil
 		}
-		key := passiveKey(r.Composite, r.State, r.Instance)
+		key := stateKey{r.Composite, r.State, r.Instance}
 		seen[key]++
 		if c := cursors[key]; c.snapshot != 0 && seen[key] < c.snapshot {
 			return nil
 		}
-		off, err := s.append(raw, opts)
+		off, err := s.write(frame, opts)
 		if err != nil {
 			return err
 		}
-		if r.Kind == KindPassivate {
-			s.passive[key] = passiveLoc{file: s.segPath, off: off}
-		} else {
-			delete(s.passive, key)
-		}
-		return nil
+		return s.index(r, s.segNo, off)
 	}
 	for _, path := range old {
-		if _, err := walkSegmentRaw(path, keep); err != nil {
+		if _, err := walkSegment(path, keep); err != nil {
 			return fmt.Errorf("journal: compact %s: %w", path, err)
 		}
 	}
@@ -677,18 +759,12 @@ func (s *shard) compact(opts Options) error {
 	return nil
 }
 
-// walkSegment streams a segment's decoded records.
-func walkSegment(path string, fn func(off int64, r *Record) error) (int64, error) {
-	return walkSegmentRaw(path, func(off int64, r *Record, _ []byte) error {
-		return fn(off, r)
-	})
-}
-
-// walkSegmentRaw streams a segment's records with their offsets and raw
-// payloads. It returns the byte length of the valid prefix; err
-// describes the first bad frame (io errors, short frames, CRC
-// mismatches). A clean EOF returns a nil error.
-func walkSegmentRaw(path string, fn func(off int64, r *Record, raw []byte) error) (int64, error) {
+// walkSegment streams a segment's decoded records with their offsets
+// and whole frames (header included). It returns the byte length of
+// the valid prefix and describes the first bad frame in err: framing
+// damage wraps errTorn, a payload that does not decode does not. A
+// clean EOF returns a nil error.
+func walkSegment(path string, fn func(off int64, r *Record, frame []byte) error) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
@@ -698,26 +774,26 @@ func walkSegmentRaw(path string, fn func(off int64, r *Record, raw []byte) error
 		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
 		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
 		if n == 0 || n > maxRecordBytes {
-			return off, fmt.Errorf("bad frame length %d at offset %d", n, off)
+			return off, fmt.Errorf("%w: bad frame length %d at offset %d", errTorn, n, off)
 		}
 		if int64(len(data))-off-frameHeader < n {
-			return off, fmt.Errorf("truncated frame at offset %d", off)
+			return off, fmt.Errorf("%w: truncated frame at offset %d", errTorn, off)
 		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return off, fmt.Errorf("crc mismatch at offset %d", off)
+		frame := data[off : off+frameHeader+n]
+		if crc32.ChecksumIEEE(frame[frameHeader:]) != crc {
+			return off, fmt.Errorf("%w: crc mismatch at offset %d", errTorn, off)
 		}
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return off, fmt.Errorf("bad record at offset %d: %w", off, err)
+		r, err := decodeRecord(frame[frameHeader:])
+		if err != nil {
+			return off, fmt.Errorf("record at offset %d: %w", off, err)
 		}
-		if err := fn(off, &r, payload); err != nil {
+		if err := fn(off, r, frame); err != nil {
 			return off, err
 		}
 		off += frameHeader + n
 	}
 	if rem := int64(len(data)) - off; rem > 0 {
-		return off, fmt.Errorf("trailing %d bytes at offset %d", rem, off)
+		return off, fmt.Errorf("%w: trailing %d bytes at offset %d", errTorn, rem, off)
 	}
 	return off, nil
 }
@@ -746,11 +822,7 @@ func readRecordAt(path string, off int64) (*Record, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, fmt.Errorf("crc mismatch at offset %d", off)
 	}
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return decodeRecord(payload)
 }
 
 // FormatStats renders the stats for a -stats log line.

@@ -3,6 +3,7 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -136,7 +137,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(segs[0])
-	if n, err := walkSegment(segs[0], func(int64, *Record) error { return nil }); err != nil || n != info.Size() {
+	if n, err := walkSegment(segs[0], func(int64, *Record, []byte) error { return nil }); err != nil || n != info.Size() {
 		t.Fatalf("segment not repaired: valid prefix %d of %d bytes (err %v)", n, len(data), err)
 	}
 }
@@ -220,6 +221,48 @@ func TestPassiveIndex(t *testing.T) {
 	j3 := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 2})
 	if j3.IsPassive("c", "s", "i7") {
 		t.Fatal("index kept an entry whose instance has later records")
+	}
+}
+
+// TestPassiveIndexAcrossSegments: the index packs (segment, offset)
+// into one word; passivations spread over many segments must each
+// rehydrate from their own segment, before and after a reopen.
+func TestPassiveIndexAcrossSegments(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Fsync: FsyncOff, Shards: 1, SegmentMaxBytes: 96}
+	j := openTest(t, opts)
+	const n = 12
+	for i := 0; i < n; i++ {
+		id := "i" + strconv.Itoa(i)
+		for _, kind := range []string{KindArrival, KindPassivate} {
+			if err := j.Append(&Record{Kind: kind, Composite: "c", State: "s", Instance: id, Vars: map[string]string{"id": id}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := j.Stats(); st.Segments < n/2 || st.Passive != n {
+		t.Fatalf("stats %v: want passivations spread over several segments", st)
+	}
+	take := func(j *Journal, i int) {
+		t.Helper()
+		id := "i" + strconv.Itoa(i)
+		r, ok, err := j.TakePassive("c", "s", id)
+		if err != nil || !ok || r.Vars["id"] != id {
+			t.Fatalf("TakePassive(%s): ok=%v err=%v r=%+v", id, ok, err, r)
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		take(j, i)
+	}
+	j.Close()
+	j2 := openTest(t, opts)
+	for i := 0; i < n; i++ {
+		if j2.IsPassive("c", "s", "i"+strconv.Itoa(i)) {
+			take(j2, i)
+		}
+	}
+	if st := j2.Stats(); st.Passive != 0 {
+		t.Fatalf("%d instances left passive after taking every one", st.Passive)
 	}
 }
 
@@ -339,6 +382,24 @@ func TestParseFsyncMode(t *testing.T) {
 	}
 }
 
+// TestAppendAfterCloseFails: a closed journal writes nothing more — not
+// even a fresh segment file — so a straggler from a shut-down fabric
+// cannot touch a directory a new process has opened.
+func TestAppendAfterCloseFails(t *testing.T) {
+	dir := t.TempDir()
+	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 1})
+	if err := j.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := j.Append(&Record{Kind: KindArrival, Composite: "c", State: "s", Instance: "i"}); err == nil {
+		t.Fatal("Append after Close succeeded")
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "shard-00", "seg-*.wal")); len(segs) != 1 {
+		t.Fatalf("Append after Close left %d segments, want the 1 written before", len(segs))
+	}
+}
+
 func TestShardCountPinnedToDirectory(t *testing.T) {
 	dir := t.TempDir()
 	j := openTest(t, Options{Dir: dir, Fsync: FsyncOff, Shards: 4})
@@ -354,5 +415,8 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncMode(42)}); err == nil {
 		t.Fatal("Open accepted a bogus fsync mode")
+	}
+	if _, err := Open(Options{Dir: t.TempDir(), SegmentMaxBytes: 1<<32 + 1}); err == nil {
+		t.Fatal("Open accepted a segment size whose offsets do not pack into 32 bits")
 	}
 }
